@@ -61,9 +61,7 @@ def blas_threads() -> Optional[int]:
 
 
 def fingerprint() -> Dict[str, Any]:
-    import multiprocessing
-
-    from repro.parallel.pool import START_METHOD_ENV
+    from repro.parallel.pool import _start_method
     from repro.rl.acktr import resolve_kfac_threads
 
     config = _openblas_call("get_config", ctypes.c_char_p)
@@ -78,9 +76,7 @@ def fingerprint() -> Dict[str, Any]:
         "blas_runtime_config": config.decode() if config else None,
         "blas_threads": blas_threads(),
         "kfac_threads": resolve_kfac_threads(None),
-        # The pool's rule: the env knob, else fork where available.
-        "start_method": os.environ.get(START_METHOD_ENV) or (
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"),
+        "start_method": _start_method(),
         "repro_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("REPRO_")},
         "blas_env": {k: os.environ[k] for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
                      if k in os.environ},

@@ -2,22 +2,25 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload fig6-cell --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload fig6-cell --seed 0 --seconds 20 --trace 0
 
 ``--workload`` is one of ``fig6-cell``, ``eval-deploy`` and
-``serve-open-loop`` (see ``perfbench/README.md``).  The seed makes every
-input; ``--seconds`` is how long the timed part runs.  ``--trace 0``
-measures the end-to-end metrics with tracing off; ``--trace 1`` is the
-separate traced run that reports the per-layer metrics.  Human-readable
-lines come first; the last line of standard output is one JSON object
-with ``correct``, ``attempted``, ``failed`` and ``metrics``.  The run
-exits with status 1 when an output differs from the committed reference
-(``perfbench/reference.json``), and 2 when the program's source is
-missing.
+``serve-open-loop`` (see ``perfbench/README.md``).  The seed picks the
+case, ``seed mod 32``, and the case makes every input, so every seed is
+checked against a committed reference entry; ``--seconds`` is how long
+the timed part runs.  ``--trace 0`` measures the end-to-end metrics with
+tracing off; ``--trace 1`` is the separate traced run that reports the
+per-layer metrics.  Human-readable lines come first; the last line of
+standard output is one JSON object with ``correct``, ``attempted``,
+``failed`` and ``metrics``.  The run exits with status 1 when an output
+differs from the committed reference (``perfbench/reference.json``) or
+the case has no entry there, and 2 when the program's source is
+missing.  Metric names and units come from ``BENCHMARK.json`` at the
+repository root.
 
 Outputs (result with host fingerprint, spans, telemetry) go to
 ``.perfbench_out/`` under the current directory.  ``--write-reference``
-stores this seed's checked results as the new reference.
+stores this case's checked results as the new reference.
 """
 
 import os
@@ -35,10 +38,14 @@ import json  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import Dict  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
+SPEC = HERE.parent / "BENCHMARK.json"
 REFERENCE = HERE / "reference.json"
+#: Cases per budget: the committed reference has an entry for each.
+CASES = {"full": 32, "tiny": 1}
 
 
 def _parse(argv):
@@ -61,12 +68,12 @@ def main(argv=None) -> int:
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: program source not found at {SRC}", file=sys.stderr)
         return 2
+    spec = json.loads(SPEC.read_text(encoding="utf-8"))
     sys.path.insert(0, str(SRC))
     # The program runs at its defaults: knobs from the environment are
     # recorded in the fingerprint and then removed.
     repro_env = {k: os.environ.pop(k) for k in sorted(os.environ) if k.startswith("REPRO_")}
 
-    import catalog
     import eval_deploy
     import fig6_cell
     import serve_open_loop
@@ -76,9 +83,10 @@ def main(argv=None) -> int:
 
     workloads = {"fig6-cell": fig6_cell, "eval-deploy": eval_deploy,
                  "serve-open-loop": serve_open_loop}
+    case = args.seed % CASES[args.budget]
     references = json.loads(args.reference.read_text(encoding="utf-8"))
-    by_seed = references.get(args.budget, {}).get(args.workload, {})
-    expected = None if args.write_reference else by_seed.get(str(args.seed))
+    committed = references.get(args.budget, {}).get(args.workload, {}).get(str(case))
+    expected = None if args.write_reference else committed
 
     out_dir = args.out / args.workload
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -87,19 +95,34 @@ def main(argv=None) -> int:
     host = fingerprint()
     host["repro_env_removed"] = repro_env
 
-    outcome = workloads[args.workload].run(args.seed, args.seconds, tracer, args.budget,
+    outcome = workloads[args.workload].run(case, args.seconds, tracer, args.budget,
                                            expected, out_dir, SRC)
+    if outcome.produced is not None and expected is None and not args.write_reference:
+        outcome.check(f"committed reference entry for case {case}", None, "present")
 
     if args.trace:
-        metrics = {name: (outcome.layers.get(name, 0.0), unit)
-                   for name, (unit, _, _) in catalog.LAYERS.items()}
+        # A traced run reports every layer: the layers another workload
+        # exercises are measured on a tiny pass of that workload.
+        layers: Dict[str, float] = {}
+        for name, module in workloads.items():
+            if name != args.workload:
+                other = module.run(0, 0.0, Tracer(True), "tiny",
+                                   references["tiny"].get(name, {}).get("0"),
+                                   out_dir / "tiny" / name, SRC)
+                layers.update(other.layers)
+                outcome.attempted += other.attempted
+                outcome.failed += other.failed
+                outcome.mismatches += [f"tiny {name}: {m}" for m in other.mismatches]
+                outcome.report.append(f"layers of {name}: measured on its tiny pass")
+        layers.update(outcome.layers)
+        metrics = {m["name"]: (layers.get(m["name"], 0.0), m["unit"]) for m in spec["per_layer"]}
     else:
         values = {"setup_s": median(outcome.setup_seconds), "peak_rss_mb": peak_rss_mb(),
                   **outcome.metrics}
-        metrics = {name: (values[name], unit) for name, (unit, _) in catalog.END_TO_END.items()}
+        metrics = {m["name"]: (values[m["name"]], m["unit"]) for m in spec["end_to_end"]}
     correct = outcome.failed == 0 and outcome.attempted > 0
 
-    print(f"perfbench {args.workload} seed={args.seed} seconds={args.seconds:g} "
+    print(f"perfbench {args.workload} seed={args.seed} case={case} seconds={args.seconds:g} "
           f"trace={args.trace} budget={args.budget}")
     print("host: " + json.dumps(host, sort_keys=True))
     print("setup_s samples: " + ", ".join(f"{s:.4f}" for s in outcome.setup_seconds))
@@ -107,10 +130,10 @@ def main(argv=None) -> int:
         print(line)
     for name, (value, unit) in metrics.items():
         print(f"{name} = {value:.6g} {unit}")
-    reference_note = ("written" if args.write_reference else
-                      "committed reference" if expected is not None else
-                      "no committed reference for this seed: checked against the run's "
-                      "first repetition")
+    reference_note = ("reference written" if args.write_reference else
+                      f"committed reference for case {case}" if expected is not None else
+                      "served actions against act_single" if outcome.produced is None else
+                      f"NO committed reference for case {case}")
     print(f"correctness: {outcome.attempted} checked, {outcome.failed} failed "
           f"(failed_ratio = {outcome.failed / max(outcome.attempted, 1):.6g}; {reference_note})")
     for mismatch in outcome.mismatches:
@@ -118,7 +141,7 @@ def main(argv=None) -> int:
 
     if args.write_reference and correct and outcome.produced:
         references.setdefault(args.budget, {}).setdefault(args.workload, {})[
-            str(args.seed)] = outcome.produced
+            str(case)] = outcome.produced
         args.reference.write_text(json.dumps(references, indent=1, sort_keys=True) + "\n",
                                   encoding="utf-8")
     result = {
