@@ -1,10 +1,14 @@
-"""Helpers shared by the workloads: timing summaries, memory, the
-repeat-until-deadline loop, the timed deployment of a coordinator, and
-the outcome every workload returns."""
+"""Helpers shared by the workloads: timing summaries, the host-speed
+calibration that turns measured seconds into seconds of a reference
+host, memory, the repeat-until-deadline loop, the timed deployment of a
+coordinator, and the outcome every workload returns."""
 
 from __future__ import annotations
 
+import heapq
+import json
 import math
+import re
 import resource
 import time
 from dataclasses import dataclass, field
@@ -26,13 +30,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return float(np.percentile(np.asarray(values, dtype=np.float64), q))
 
 
-def latency_ms(passes: Sequence[Sequence[float]]) -> "tuple[float, float]":
-    """(p50, p99) in ms of per-call seconds grouped in passes of equal
-    work, each the lowest over the passes (see ``best``)."""
-    return (best([percentile(chunk, 50) for chunk in passes]) * 1e3,
-            best([percentile(chunk, 99) for chunk in passes]) * 1e3)
-
-
 def best(values: Sequence[float]) -> float:
     """The lowest of repeated measurements of the same work.  The host's
     speed swings by tens of percent for seconds at a time; the passes of
@@ -40,6 +37,108 @@ def best(values: Sequence[float]) -> float:
     repeats from run to run.  A slower program is slower in every pass,
     so a regression still shows."""
     return float(min(values))
+
+
+#: Seconds one ``calibrate()`` pass takes on the reference host; timed
+#: figures are reported in that host's seconds.
+CALIBRATION_REFERENCE_S = 0.009
+
+
+class _Node:
+    __slots__ = ("load", "links")
+
+    def __init__(self, links: "tuple[int, ...]") -> None:
+        self.load = 0.0
+        self.links = links
+
+
+def _build_calibration():
+    rng = np.random.default_rng(0)
+    nodes = [_Node(tuple(int(x) for x in rng.integers(0, 20_000, 4))) for _ in range(20_000)]
+    return {
+        "nodes": nodes,
+        "names": {f"n{i}": node for i, node in enumerate(nodes)},
+        "visits": [f"n{int(i)}" for i in rng.integers(0, 20_000, 4096)],
+        "keys": rng.integers(0, 100_000, 4000).tolist(),
+        "table": {i: (i * 2_654_435_761) % 1_000_003 for i in range(100_000)},
+        "x": rng.standard_normal(24),
+        "w1": rng.standard_normal((24, 64)) * 0.2,
+        "w2": rng.standard_normal((64, 5)) * 0.2,
+        "m": rng.standard_normal((24, 24)),
+        "source": "\n".join(
+            f"def f{i}(a, b=3):\n    x = [a * k for k in range(b)]\n"
+            f"    return {{'k': x, 's': sum(x) + {i}}}\n" for i in range(8)),
+        "document": {"nodes": [{"id": i, "name": f"n{i}", "links": list(range(i % 5)),
+                                "w": i * 0.5} for i in range(60)]},
+        "pattern": re.compile(r"n(\d+)"),
+    }
+
+
+_CALIBRATION = _build_calibration()
+
+
+def calibrate() -> float:
+    """Seconds of one fixed piece of the benchmark's own work in the
+    program's mix, three parts of about equal time:
+
+    * an event loop over a graph of 20,000 small objects with a one-row
+      MLP forward per event, then random lookups in a 100,000-entry
+      dict: a working set larger than a core's caches, like the
+      simulator's;
+    * many numpy calls on 24-element vectors, like building an
+      observation and acting on it;
+    * compiling a small module, a JSON round trip and a regex scan: a
+      wide spread of interpreter code.
+
+    Over 59 ``eval-deploy`` rounds on a 2-CPU shared host whose speed
+    swung twofold, a round's seconds rose with the seconds of such
+    passes run beside it at a slope of 1.04 on a log scale (correlation
+    0.97); each part alone gave a slope between 0.9 and 1.5.  The pass
+    touches no program code, so a change to the program leaves it
+    unchanged."""
+    data = _CALIBRATION
+    nodes, names, visits = data["nodes"], data["names"], data["visits"]
+    x, w1, w2, table, m = data["x"], data["w1"], data["w2"], data["table"], data["m"]
+    start = time.perf_counter()
+    heap = [(0.0, 0)]
+    for i in range(150):
+        clock, _ = heapq.heappop(heap)
+        node = names[visits[(7 * i) % 4096]]
+        for link in node.links:
+            other = nodes[link]
+            other.load = (other.load + 0.5 * node.load + 1.0) % 97.0
+        action = int(np.argmax(np.tanh(x @ w1) @ w2))
+        node.load = node.load * 0.5 + action
+        heapq.heappush(heap, (clock + 1.0 + i % 7, node.links[action % 4]))
+        heapq.heappush(heap, (clock + 2.0, i))
+    total = 0
+    for key in data["keys"]:
+        total += table[key]
+    out = np.empty(24)
+    for _ in range(150):
+        z = np.zeros(24)
+        z[:12] = x[12:]
+        z[12:] = np.clip(x[:12], -1.0, 1.0)
+        np.dot(m, z, out=out)
+        total += int(np.argmax(out)) + float(out.max()) + float(np.tanh(out).sum())
+    for _ in range(2):
+        exec(compile(data["source"], "<calibrate>", "exec"), {})
+        text = json.dumps(data["document"])
+        json.loads(text)
+        total += sum(int(match.group(1)) for match in data["pattern"].finditer(text))
+    return time.perf_counter() - start
+
+
+def reference_scale(calibrations: Sequence[float]) -> float:
+    """The factor that turns seconds measured beside ``calibrations``
+    (seconds of ``calibrate()`` passes) into seconds of the reference
+    host: the reference pass time over their mean.  The passes run
+    between pieces of the timed work, so both see the same stretches of
+    host speed, which on a shared machine drifts by half for minutes at
+    a time.  Without passes the factor is 1."""
+    if len(calibrations) == 0:
+        return 1.0
+    return CALIBRATION_REFERENCE_S * len(calibrations) / float(sum(calibrations))
 
 
 def peak_rss_mb() -> float:
@@ -124,6 +223,12 @@ class Outcome:
     mismatches: List[str] = field(default_factory=list)
     #: This seed's checked results, in the reference file's format.
     produced: Any = None
+    #: Seconds of ``calibrate()`` passes interleaved with the timed work.
+    calibrations: List[float] = field(default_factory=list)
+
+    def scale(self) -> float:
+        """``reference_scale`` of all the run's calibration passes."""
+        return reference_scale(self.calibrations)
 
     def check_all(self, label: str, observed: Any, expected: Any) -> None:
         """Check every number in nested dicts/lists, each as one

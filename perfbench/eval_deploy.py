@@ -24,7 +24,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from common import Outcome, deploy, finite_or_none, median, percentile, timed
+from common import (
+    Outcome, calibrate, deploy, finite_or_none, median, percentile, reference_scale, timed,
+)
 from spans import Tracer
 
 
@@ -81,22 +83,32 @@ def _deployments(budget: Budget):
     return scenario, (("fault-free", lambda _: scenario.sim_config), ("churn", churn))
 
 
-def run_round(policy, budget: Budget, case: int, tracer: Tracer) -> Dict[str, Any]:
+def run_round(policy_agents, deployments_of, budget: Budget, case: int,
+              tracer: Tracer) -> Dict[str, Any]:
     """Deploy DRL, GCASP and SP under both fault settings once.  Each
     deployment's seconds, decisions and (for DRL) per-call seconds are
-    listed in ``deployments``, in the same order every round."""
+    listed in ``deployments``, in the same order every round.
+
+    ``deployments_of`` (what ``_deployments`` returns) and
+    ``policy_agents``, the deployed distributed coordinator, are built
+    once for the run.  The coordinator's agents act greedily and keep no
+    state that changes a decision, and building it clones the policy for
+    every node, which costs more than a deployment.  GCASP remembers each
+    flow's previous node, so the heuristics are built fresh for every
+    deployment."""
     eval_seeds = [10**6 + budget.eval_seeds * case + i for i in range(budget.eval_seeds)]
     results: Dict[str, Dict[str, Any]] = {}
     counts = {"decisions": 0, "flows": 0, "network_failure_drops": 0}
     deployments: List[Dict[str, Any]] = []
-    scenario, settings = _deployments(budget)
+    scenario, settings = deployments_of
     for setting, sim_config in settings:
         results[setting] = {}
         span = "sim.run" if setting == "fault-free" else "sim.run.churn"
         for name in ("Distributed DRL", "GCASP", "SP"):
             success, delay = [], []
             for eval_seed in eval_seeds:
-                coordinator = _coordinator(name, scenario, policy, tracer)
+                coordinator = (policy_agents if name == "Distributed DRL"
+                               else _coordinator(name, scenario, None, tracer))
                 samples: Optional[List[float]] = [] if name == "Distributed DRL" else None
                 with tracer.span(span):
                     metrics, seconds = timed(lambda: deploy(
@@ -110,7 +122,7 @@ def run_round(policy, budget: Budget, case: int, tracer: Tracer) -> Dict[str, An
                 counts["network_failure_drops"] += metrics.drop_reasons.get(
                     "network_failure", 0)
                 deployments.append({"seconds": seconds, "decisions": metrics.decisions,
-                                    "samples": samples or []})
+                                    "samples": samples or [], "calibration": calibrate()})
             results[setting][name] = {"success": success, "delay": delay}
     return {"results": results, "deployments": deployments, **counts}
 
@@ -177,13 +189,21 @@ def run(case: int, seconds: float, tracer: Tracer, budget_name: str,
     reference = expected["policy_sha256"] if expected else digest
     outcome.check("set-up 0 policy digest", digest, reference)
 
+    deployments_of = _deployments(budget)
+    untraced_tracer = Tracer(False)
+    agents = {False: _coordinator("Distributed DRL", deployments_of[0], policy, untraced_tracer)}
+    if tracer.enabled:
+        agents[True] = _coordinator("Distributed DRL", deployments_of[0], policy, tracer)
+
     def one_round(index: int) -> Dict[str, Any]:
         # The traced run keeps round 0 untraced as the overhead baseline.
-        round_tracer = tracer if index > 0 else Tracer(False)
+        traced = tracer.enabled and index > 0
+        round_tracer = tracer if traced else untraced_tracer
         # Every round starts from the same collector state, so a
         # collection of the previous round's garbage lands in no round.
         gc.collect()
-        result, wall = timed(lambda: run_round(policy, budget, case, round_tracer))
+        result, wall = timed(lambda: run_round(agents[traced], deployments_of, budget, case,
+                                               round_tracer))
         result["wall"] = wall
         return result
 
@@ -207,25 +227,35 @@ def run(case: int, seconds: float, tracer: Tracer, budget_name: str,
                           expected["results"] if expected else first)
 
     untraced = rounds[:1] if tracer.enabled else rounds
+    # Throughput over every untraced deployment, in seconds of the
+    # reference host (see ``common.reference_scale``).
+    pieces = [d for r in untraced for d in r["deployments"]]
+    outcome.calibrations = [d["calibration"] for d in pieces]
+    simulated = sum(d["seconds"] for d in pieces) * outcome.scale()
+    # Per-call latency over the composite best round, scaled by the
+    # calibration passes run beside the deployments it took: a run's
+    # pooled tail is set by its slowest stretches, the fastest pass of
+    # each deployment is not.
     composite = best_round(untraced)
-    wall = sum(d["seconds"] for d in composite)
     samples = [x for d in composite for x in d["samples"]]
+    scale = reference_scale([d["calibration"] for d in composite])
     outcome.metrics = {
-        "wall_s": wall,
-        "decisions_per_s": sum(d["decisions"] for d in composite) / wall,
-        "decision_p50_ms": percentile(samples, 50) * 1e3,
-        "decision_p99_ms": percentile(samples, 99) * 1e3,
+        "wall_s": simulated / len(untraced),
+        "decisions_per_s": sum(d["decisions"] for d in pieces) / simulated,
+        "decision_p50_ms": percentile(samples, 50) * 1e3 * scale,
+        "decision_p99_ms": percentile(samples, 99) * 1e3 * scale,
     }
     outcome.report += [
         f"policy {digest[:16]}, {len(rounds)} deployment rounds, round wall median "
-        f"{median([r['wall'] for r in untraced]):.3f} s, best composite round "
-        f"{wall:.3f} s of simulation",
+        f"{median([r['wall'] for r in untraced]):.3f} s; simulation per round "
+        f"{outcome.metrics['wall_s']:.3f} reference-host s at scale {outcome.scale():.4f}",
         "success ratios: " + "; ".join(
             f"{setting}: " + ", ".join(
                 f"{name}={sum(v['success']) / len(v['success']):.4f}"
                 for name, v in algorithms.items())
             for setting, algorithms in first.items()),
-        f"distributed-agent decisions timed: {len(samples)} in the best composite round",
+        f"distributed-agent decisions timed: {len(samples)} in the best composite round "
+        f"(scale {scale:.4f})",
     ]
     if tracer.enabled:
         traced = rounds[1:]

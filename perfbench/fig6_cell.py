@@ -28,8 +28,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 from common import (
-    Outcome, best, deploy, finite_or_none, latency_ms, median, peak_rss_mb, repeat_for,
-    timed,
+    Outcome, calibrate, deploy, finite_or_none, median, peak_rss_mb, percentile,
+    reference_scale, repeat_for, timed,
 )
 from spans import Tracer
 
@@ -82,6 +82,8 @@ print(json.dumps({"wall": cell["wall"], "results": cell["results"]}))
 
 #: The timed stages of a cell, in order.
 STAGES = ("train_distributed", "train_central", "compare")
+#: Calibration passes (``common.calibrate``) in every pause of a run.
+CALIBRATIONS_PER_PAUSE = 10
 
 
 def scenario(budget: Budget):
@@ -216,16 +218,20 @@ def run_cell(env_config, budget: Budget, case: int, workers: int, tracer: Tracer
     }
 
 
-def decision_probe(env_config, coordinator, eval_seeds: List[int]) -> List[float]:
+def decision_probe(env_config, coordinator, eval_seeds: List[int]):
     """Per-call latency (seconds) of a cell's trained distributed agents
-    deployed serially on the evaluation seeds (Fig. 9b): one pass."""
+    deployed serially on the evaluation seeds (Fig. 9b): one pass.  A
+    calibration pass (``common.calibrate``) follows every deployment;
+    their seconds are returned beside the calls'."""
     samples: List[float] = []
+    beside: List[float] = []
     # The pass starts from the same collector state wherever it runs, so
     # a collection of the cell's garbage lands in no timed call.
     gc.collect()
     for seed in eval_seeds:
         deploy(env_config, env_config.sim_config, seed, coordinator.fresh(), samples)
-    return samples
+        beside.append(calibrate())
+    return samples, beside
 
 
 def _telemetry_layers(telemetry_dirs: List[Path], budget: Budget) -> Dict[str, float]:
@@ -285,13 +291,16 @@ def run(case: int, seconds: float, tracer: Tracer, budget_name: str,
     setup = [cold_start(src, budget) for _ in range(3)]
     env_config = scenario(budget)
     eval_seeds = _seeds(budget, case)[1]
-    probe: List[List[float]] = []
+    # Probe passes: (per-call seconds, calibration passes run beside them).
+    probe: List[Any] = []
     agents: List[Any] = []  # the first cell's trained distributed agents
+    calibrations: List[float] = []
 
     def probe_pass() -> None:
-        # Probe passes run between the stages of every cell and after it,
-        # and a set-up sample after every cell, so that both sample the
-        # host over the whole run, not one stretch.
+        # Probe and calibration passes run between the stages of every
+        # cell and after it, and a set-up sample after every cell, so
+        # that they sample the host over the whole run, not one stretch.
+        calibrations.extend(calibrate() for _ in range(CALIBRATIONS_PER_PAUSE))
         if agents and not tracer.enabled:
             probe.append(decision_probe(env_config, agents[0], eval_seeds))
 
@@ -324,34 +333,48 @@ def run(case: int, seconds: float, tracer: Tracer, budget_name: str,
 
     reps = repeat_for(seconds, rep, min_reps=2 if tracer.enabled else 1)
     first = reps[0]
-    outcome = Outcome(setup_seconds=setup, metrics={}, produced=first["results"])
+    outcome = Outcome(setup_seconds=setup, metrics={}, produced=first["results"],
+                      calibrations=calibrations)
     for index, cell in enumerate(reps):
         outcome.check_all(f"rep {index}", cell["results"], expected or first["results"])
 
     walls = [cell["wall"] for cell in reps]
-    # The composite best cell: every stage from the repetition in which
-    # it ran fastest (see ``common.best``).  The stages are all of a
-    # cell's wall but a millisecond of glue.
-    stages = {stage: best([cell["stages"][stage] for cell in reps]) for stage in STAGES}
-    p50, p99 = latency_ms(probe) if probe else (0.0, 0.0)
+    # Each stage's mean over the cells, in seconds of the reference host
+    # (``Outcome.scale``).  The stages are all of a cell's wall but a
+    # millisecond of glue.
+    scale = outcome.scale()
+    stages = {stage: sum(cell["stages"][stage] for cell in reps) / len(reps) * scale
+              for stage in STAGES}
+    # Per-call latency: each probe pass's percentile, scaled by the
+    # calibration passes run beside its deployments, and the median of
+    # those over the passes, so that neither a slow stretch nor a lucky
+    # one sets the figure.
+    def latency_ms(q: float) -> float:
+        if not probe:
+            return 0.0
+        return median([percentile(calls, q) * reference_scale(beside)
+                       for calls, beside in probe]) * 1e3
+
     outcome.metrics = {
         "peak_rss_mb": first["peak_rss_mb"],
         "wall_s": sum(stages.values()),
         "decisions_per_s": first["decisions"] / (stages["train_distributed"]
                                                  + stages["train_central"]),
-        "decision_p50_ms": p50,
-        "decision_p99_ms": p99,
+        "decision_p50_ms": latency_ms(50),
+        "decision_p99_ms": latency_ms(99),
     }
     outcome.report += [
         f"cell: {len(reps)} repetitions, workers={workers}, wall median {median(walls):.3f} s "
         f"(min {min(walls):.3f}, max {max(walls):.3f})",
         "stages (median s): " + ", ".join(
             f"{stage}={median([c['stages'][stage] for c in reps]):.3f}" for stage in STAGES),
-        "stages (best s): " + ", ".join(f"{stage}={t:.3f}" for stage, t in stages.items()),
+        f"stages (mean, reference-host s at scale {scale:.4f}): " + ", ".join(
+            f"{stage}={t:.3f}" for stage, t in stages.items()),
         "success ratios: " + ", ".join(
             f"{name}={sum(r['success']) / len(r['success']):.4f}"
             for name, r in first["results"].items()),
-        f"decision probe: {sum(map(len, probe))} deployed distributed-agent decisions "
+        f"decision probe: {sum(len(calls) for calls, _ in probe)} deployed "
+        f"distributed-agent decisions "
         f"in {len(probe)} passes",
     ]
 

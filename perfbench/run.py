@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload fig6-cell --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload fig6-cell --seed 0 --seconds 25 --trace 0
 
 ``--workload`` is one of ``fig6-cell``, ``eval-deploy`` and
 ``serve-open-loop`` (see ``perfbench/README.md``).  The seed picks the
@@ -117,7 +117,8 @@ def main(argv=None) -> int:
         layers.update(outcome.layers)
         metrics = {m["name"]: (layers.get(m["name"], 0.0), m["unit"]) for m in spec["per_layer"]}
     else:
-        values = {"setup_s": median(outcome.setup_seconds), "peak_rss_mb": peak_rss_mb(),
+        values = {"setup_s": median(outcome.setup_seconds) * outcome.scale(),
+                  "peak_rss_mb": peak_rss_mb(),
                   **outcome.metrics}
         metrics = {m["name"]: (values[m["name"]], m["unit"]) for m in spec["end_to_end"]}
     correct = outcome.failed == 0 and outcome.attempted > 0

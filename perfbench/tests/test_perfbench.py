@@ -21,6 +21,7 @@ BENCH = HERE.parent
 ROOT = BENCH.parent
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
+import common  # noqa: E402
 import serve_open_loop  # noqa: E402
 from spans import Tracer  # noqa: E402
 
@@ -159,3 +160,14 @@ def test_nested_spans_link_to_their_parent():
     assert inner[0] == "inner" and inner[3] == 0
     assert start <= inner[1] <= inner[2] <= end
     assert np.isfinite(tracer.self_seconds()["outer"])
+
+
+def test_reference_scale_turns_host_seconds_into_reference_seconds():
+    assert common.reference_scale([]) == 1.0
+    reference = common.CALIBRATION_REFERENCE_S
+    assert common.reference_scale([reference] * 4) == pytest.approx(1.0)
+    # A host twice as slow as the reference halves every timed figure.
+    assert common.reference_scale([2 * reference, 2 * reference]) == pytest.approx(0.5)
+    assert common.Outcome(setup_seconds=[], metrics={},
+                          calibrations=[reference / 2]).scale() == pytest.approx(2.0)
+
