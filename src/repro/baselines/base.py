@@ -9,10 +9,10 @@ evaluation runs through the identical simulator.
 
 from __future__ import annotations
 
-from typing import Optional, Protocol
+from typing import Dict, Optional, Protocol
 
 from repro.services.service import ServiceCatalog
-from repro.sim.simulator import ACTION_PROCESS_LOCALLY, DecisionPoint, Simulator
+from repro.sim.simulator import DecisionPoint, Simulator
 from repro.topology.network import Network
 
 __all__ = ["CoordinationPolicy", "BasePolicy"]
@@ -27,11 +27,19 @@ class CoordinationPolicy(Protocol):
 
 
 class BasePolicy:
-    """Common helpers for hand-written policies over one network."""
+    """Common helpers for hand-written policies over one network.
+
+    Routing is table-driven: ``network.toward_actions`` gives, per node,
+    the action that moves a flow one hop along the delay-shortest path
+    toward each target, so following a path costs two dict lookups.
+    """
 
     def __init__(self, network: Network, catalog: ServiceCatalog) -> None:
         self.network = network
         self.catalog = catalog
+        self._toward: Dict[str, Dict[str, int]] = {
+            name: network.toward_actions(name) for name in network.node_names
+        }
 
     # ------------------------------------------------------------------
 
@@ -39,11 +47,13 @@ class BasePolicy:
         """Resource demand of the flow's requested component (None when the
         flow is fully processed)."""
         flow = decision.flow
-        if flow.fully_processed:
+        index = flow.component_index
+        if index is None:
             return None
+        if flow.demands is not None:
+            return flow.demands[index]
         service = self.catalog.service(flow.service)
-        component = service.component_at(flow.component_index)
-        return component.resources(flow.data_rate)
+        return service.component_at(index).resources(flow.data_rate)
 
     def can_process_here(self, decision: DecisionPoint, sim: Simulator) -> bool:
         """True when the node has the free compute to process the flow."""
@@ -52,20 +62,10 @@ class BasePolicy:
             return False
         return sim.state.node_free(decision.node) + 1e-12 >= demand
 
-    def forward_action(self, node: str, neighbor: str) -> int:
-        """Action forwarding a flow from ``node`` to ``neighbor``."""
-        return self.network.neighbors(node).index(neighbor) + 1
-
     def shortest_path_action(self, decision: DecisionPoint) -> int:
         """Action following the delay-shortest path toward the flow's egress.
 
-        Returns 0 (process/keep locally) when already at the egress.
+        Returns 0 (process/keep locally) when already at the egress, or
+        when the egress is unreachable (the flow will expire).
         """
-        node, egress = decision.node, decision.flow.egress
-        if node == egress:
-            return ACTION_PROCESS_LOCALLY
-        next_hop = self.network.next_hop(node, egress)
-        if next_hop is None:
-            # Unreachable egress: keep locally (flow will expire).
-            return ACTION_PROCESS_LOCALLY
-        return self.forward_action(node, next_hop)
+        return self._toward[decision.node][decision.flow.egress]

@@ -151,12 +151,15 @@ class RuleExecutor(BasePolicy):
 
     def __call__(self, decision: DecisionPoint, sim: Simulator) -> int:
         flow, node = decision.flow, decision.node
-        if flow.fully_processed:
+        index = flow.component_index
+        if index is None:
             # Shortest-path routing toward the egress.
             return self.shortest_path_action(decision)
-        service = self.catalog.service(flow.service)
-        component = service.component_at(flow.component_index)
-        spill_key = (flow.flow_id, component.name)
+        service = flow.service_obj
+        if service is None:
+            service = self.catalog.service(flow.service)
+        component = service.components[index].name
+        spill_key = (flow.flow_id, component)
         if spill_key in self._spilled:
             # Burst overflow: the scheduled target was full when the flow
             # got there.  The rules cannot reschedule within the interval,
@@ -165,7 +168,7 @@ class RuleExecutor(BasePolicy):
             if self.can_process_here(decision, sim):
                 return ACTION_PROCESS_LOCALLY
             return self.shortest_path_action(decision)
-        target = self._target_for(flow.flow_id, component.name)
+        target = self._target_for(flow.flow_id, component)
         if node == target:
             if self.can_process_here(decision, sim):
                 return ACTION_PROCESS_LOCALLY
@@ -173,11 +176,9 @@ class RuleExecutor(BasePolicy):
                 return ACTION_PROCESS_LOCALLY  # forced attempt; will drop
             self._spilled.add(spill_key)
             return self.shortest_path_action(decision)
-        next_hop = self.network.next_hop(node, target)
-        if next_hop is None:
-            # Target unreachable: process locally as a degenerate fallback.
-            return ACTION_PROCESS_LOCALLY
-        return self.forward_action(node, next_hop)
+        # One hop toward the target; 0 (process locally, a degenerate
+        # fallback) when the target is unreachable.
+        return self._toward[node][target]
 
 
 def _observation_size(network: Network, catalog: ServiceCatalog) -> int:
@@ -243,6 +244,10 @@ class CentralizedCoordinationEnv:
         self._snapshot = np.zeros(len(self.nodes))
         self._next_boundary = 0.0
         self._done = True
+        #: Optional :class:`repro.profiling.PhaseAccumulator`; when set,
+        #: step()/reset() attribute their wall time to the ``sim_advance``
+        #: and ``obs_build`` phases (one branch per step when unset).
+        self.profiler = None
 
     # ------------------------------------------------------------------
 
@@ -267,6 +272,8 @@ class CentralizedCoordinationEnv:
         )
 
     def reset(self) -> np.ndarray:
+        prof = self.profiler
+        start = _time.perf_counter() if prof is not None else 0.0
         child = self._seed_seq.spawn(1)[0]
         rng = np.random.default_rng(child)
         traffic = self.env_config.traffic_factory(rng)
@@ -280,7 +287,13 @@ class CentralizedCoordinationEnv:
         self._snapshot = np.zeros(len(self.nodes))
         self._next_boundary = self.central_config.update_interval
         self._done = False
-        return self._observation()
+        if prof is None:
+            return self._observation()
+        mid = _time.perf_counter()
+        prof.sim_advance += mid - start
+        obs = self._observation()
+        prof.obs_build += _time.perf_counter() - mid
+        return obs
 
     def step(self, action: int) -> Tuple[np.ndarray, float, bool, Dict[str, Any]]:
         if self._done:
@@ -289,52 +302,80 @@ class CentralizedCoordinationEnv:
             raise RuntimeError("call reset() before step()")
         if not 0 <= action < len(self.nodes):
             raise ValueError(f"central action must index a node, got {action}")
+        prof = self.profiler
+        start = _time.perf_counter() if prof is not None else 0.0
         component = self.component_names[self._component_index]
         self._draft[component] = self.nodes[action]
         self._component_index += 1
-        if self._component_index < len(self.component_names):
-            return self._observation(), 0.0, False, {}
-
-        # Rules complete: install them, run the interval, snapshot state
-        # for the *next* refresh (one interval of monitoring delay).
-        self._executor.set_targets(self._draft)
-        self._draft = {}
-        self._component_index = 0
-        reward = self._run_interval()
+        reward = 0.0
         info: Dict[str, Any] = {}
-        if self._done:
-            metrics = self._sim.finalize()
-            info = {
-                "success_ratio": metrics.success_ratio,
-                "flows_generated": metrics.flows_generated,
-                "flows_succeeded": metrics.flows_succeeded,
-                "flows_dropped": metrics.flows_dropped,
-                "avg_end_to_end_delay": metrics.avg_end_to_end_delay,
-            }
-            return np.zeros(self.observation_size), reward, True, info
-        self._snapshot = self._utilization_snapshot()
-        self._next_boundary += self.central_config.update_interval
-        return self._observation(), reward, False, info
+        if self._component_index == len(self.component_names):
+            # Rules complete: install them, run the interval, snapshot
+            # state for the *next* refresh (one interval of monitoring
+            # delay).
+            self._executor.set_targets(self._draft)
+            self._draft = {}
+            self._component_index = 0
+            reward = self._run_interval()
+            if self._done:
+                metrics = self._sim.finalize()
+                info = {
+                    "success_ratio": metrics.success_ratio,
+                    "flows_generated": metrics.flows_generated,
+                    "flows_succeeded": metrics.flows_succeeded,
+                    "flows_dropped": metrics.flows_dropped,
+                    "avg_end_to_end_delay": metrics.avg_end_to_end_delay,
+                }
+            else:
+                self._snapshot = self._utilization_snapshot()
+                self._next_boundary += self.central_config.update_interval
+        if prof is not None:
+            mid = _time.perf_counter()
+            prof.sim_advance += mid - start
+            prof.steps += 1
+        obs = np.zeros(self.observation_size) if self._done else self._observation()
+        if prof is not None:
+            prof.obs_build += _time.perf_counter() - mid
+        return obs, reward, self._done, info
 
     def _run_interval(self) -> float:
         """Drive the simulator to the next interval boundary under the
-        current rules; returns the interval's accumulated reward."""
-        if self._sim is None:
+        current rules; returns the interval's accumulated reward.
+
+        The loop state lives in locals.  Rewards are summed one drain at
+        a time (the outcomes after each decision is found, then those
+        after it is applied), in the order the simulator produced them;
+        an empty drain adds nothing.
+        """
+        sim = self._sim
+        if sim is None:
             raise RuntimeError("call reset() before running an interval")
+        next_decision = sim.next_decision
+        apply_action = sim.apply_action
+        drain = sim.drain_outcomes
+        total = self.reward_function.total
+        rules = self._executor
+        boundary = self._next_boundary
+        pending = self._pending
         reward = 0.0
         while True:
-            if self._pending is None:
-                self._pending = self._sim.next_decision()
-                reward += self.reward_function.total(self._sim.drain_outcomes())
-                if self._pending is None:
+            if pending is None:
+                pending = next_decision()
+                outcomes = drain()
+                if outcomes:
+                    reward += total(outcomes)
+                if pending is None:
+                    self._pending = None
                     self._done = True
                     return reward
-            if self._pending.time >= self._next_boundary:
+            if pending.time >= boundary:
+                self._pending = pending
                 return reward
-            decision = self._pending
-            self._pending = None
-            self._sim.apply_action(self._executor(decision, self._sim))
-            reward += self.reward_function.total(self._sim.drain_outcomes())
+            apply_action(rules(pending, sim))
+            pending = None
+            outcomes = drain()
+            if outcomes:
+                reward += total(outcomes)
 
 
 class CentralDRLPolicy:

@@ -70,43 +70,45 @@ class GCASPPolicy(BasePolicy):
         if flow.fully_processed and node == flow.egress:
             return ACTION_PROCESS_LOCALLY  # departs (handled by simulator)
 
-        ranked = self._ranked_neighbors(decision, sim, previous)
-        if ranked:
-            return self.forward_action(node, ranked[0])
+        best = self._best_neighbor_action(decision, sim, previous)
+        if best is not None:
+            return best
 
         # 3) Nothing feasible locally: stay on the shortest path and hope.
         return self.shortest_path_action(decision)
 
-    def _ranked_neighbors(
+    def _best_neighbor_action(
         self, decision: DecisionPoint, sim: Simulator, previous: Optional[str]
-    ) -> List[str]:
-        """Feasible neighbors, best first."""
+    ) -> Optional[int]:
+        """Action toward the best feasible neighbor (None if none is)."""
         flow, node, now = decision.flow, decision.node, decision.time
         remaining = flow.remaining_time(now)
         demand = self.component_demand(decision)
+        network, state = self.network, sim.state
 
-        candidates: List[Tuple[int, int, float, str]] = []
-        for neighbor in self.network.neighbors(node):
+        candidates: List[Tuple[int, int, float, str, int]] = []
+        for action, (neighbor, link_delay, _) in enumerate(
+            network.neighbor_hops(node), start=1
+        ):
             # Feasibility: link must carry the flow's rate...
-            if sim.state.link_free(node, neighbor) + 1e-12 < flow.data_rate:
+            if state.link_free(node, neighbor) + 1e-12 < flow.data_rate:
                 continue
             # ... and the deadline must still be reachable via this neighbor.
-            via_delay = self.network.link(node, neighbor).delay + (
-                self.network.shortest_path_delay(neighbor, flow.egress)
-            )
+            via_delay = link_delay + network.shortest_path_delay(neighbor, flow.egress)
             if via_delay > remaining:
                 continue
             has_compute = (
                 demand is not None
-                and sim.state.node_free(neighbor) + 1e-12 >= demand
+                and state.node_free(neighbor) + 1e-12 >= demand
             )
             is_backtrack = neighbor == previous
             # Rank: forward progress first, compute-feasible neighbors
             # next, then smaller delay-to-egress; name as a deterministic
-            # final tiebreak.
+            # final tiebreak (names are unique, so the action never ranks).
             candidates.append(
                 (int(is_backtrack), 0 if has_compute or demand is None else 1,
-                 via_delay, neighbor)
+                 via_delay, neighbor, action)
             )
-        candidates.sort()
-        return [name for *_ignored, name in candidates]
+        if not candidates:
+            return None
+        return min(candidates)[-1]

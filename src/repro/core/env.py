@@ -241,14 +241,16 @@ class ServiceCoordinationEnv:
             )
         prof = self.profiler
         start = perf_counter() if prof is not None else 0.0
-        self._sim.apply_action(action)
-        next_decision = self._sim.next_decision()
-        reward = self.reward_function.total(self._sim.drain_outcomes())
+        sim = self._sim
+        sim.apply_action(action)
+        next_decision = sim.next_decision()
+        outcomes = sim.drain_outcomes()
+        reward = self.reward_function.total(outcomes) if outcomes else 0.0
         self._decision = next_decision
         info: Dict[str, Any] = {}
         if next_decision is None:
             self._episode_done = True
-            metrics = self._sim.finalize()
+            metrics = sim.finalize()
             info = {
                 "success_ratio": metrics.success_ratio,
                 "flows_generated": metrics.flows_generated,

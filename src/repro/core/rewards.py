@@ -24,6 +24,12 @@ from repro.topology.network import Network
 
 __all__ = ["RewardConfig", "RewardFunction"]
 
+_FLOW_SUCCESS = OutcomeKind.FLOW_SUCCESS
+_FLOW_DROP = OutcomeKind.FLOW_DROP
+_INSTANCE_TRAVERSED = OutcomeKind.INSTANCE_TRAVERSED
+_LINK_TRAVERSED = OutcomeKind.LINK_TRAVERSED
+_FLOW_KEPT = OutcomeKind.FLOW_KEPT
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -85,34 +91,40 @@ class RewardFunction:
         config.validate_shaping()
         self.config = config
         self.diameter = max(network.diameter, 1e-12)
+        # Per-kind constants, folded once: outcome_reward runs for every
+        # outcome of every env step.  Each is the same float the textbook
+        # formula gives (the link penalty keeps its evaluation order).
+        self._neg_link_scale = -config.link_penalty_scale
+        self._keep_penalty = -config.keep_penalty_scale / self.diameter
 
     def outcome_reward(self, outcome: Outcome) -> float:
         """Reward contribution of a single semantic outcome."""
+        kind = outcome.kind
         cfg = self.config
-        if outcome.kind is OutcomeKind.FLOW_SUCCESS:
+        if kind is _FLOW_SUCCESS:
             return cfg.success_reward
-        if outcome.kind is OutcomeKind.FLOW_DROP:
+        if kind is _FLOW_DROP:
             return cfg.drop_penalty
         if not cfg.enable_shaping:
             return 0.0
-        if outcome.kind is OutcomeKind.INSTANCE_TRAVERSED:
+        if kind is _LINK_TRAVERSED:
+            if outcome.link_delay is None:
+                raise InvariantViolation(
+                    "LINK_TRAVERSED outcome lacks its link delay",
+                    flow_id=outcome.flow_id,
+                )
+            return self._neg_link_scale * outcome.link_delay / self.diameter
+        if kind is _INSTANCE_TRAVERSED:
             if outcome.chain_length is None:
                 raise InvariantViolation(
                     "INSTANCE_TRAVERSED outcome lacks its chain length",
                     flow_id=outcome.flow_id,
                 )
             return cfg.instance_bonus_scale / outcome.chain_length
-        if outcome.kind is OutcomeKind.LINK_TRAVERSED:
-            if outcome.link_delay is None:
-                raise InvariantViolation(
-                    "LINK_TRAVERSED outcome lacks its link delay",
-                    flow_id=outcome.flow_id,
-                )
-            return -cfg.link_penalty_scale * outcome.link_delay / self.diameter
-        if outcome.kind is OutcomeKind.FLOW_KEPT:
-            return -cfg.keep_penalty_scale / self.diameter
-        raise ValueError(f"unhandled outcome kind {outcome.kind}")  # pragma: no cover
+        if kind is _FLOW_KEPT:
+            return self._keep_penalty
+        raise ValueError(f"unhandled outcome kind {kind}")  # pragma: no cover
 
     def total(self, outcomes: Iterable[Outcome]) -> float:
         """Summed reward of a batch of outcomes (one env step's worth)."""
-        return sum(self.outcome_reward(o) for o in outcomes)
+        return sum(map(self.outcome_reward, outcomes))

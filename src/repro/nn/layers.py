@@ -51,7 +51,20 @@ class Dense:
             core = xavier_uniform((in_dim, out_dim), gain=gain, rng=rng)
         else:
             raise ValueError(f"unknown init {init!r}")
-        self.weight = np.vstack([core, np.zeros((1, out_dim))])
+        self._bind(np.vstack([core, np.zeros((1, out_dim))]))
+
+    @classmethod
+    def from_weight(cls, weight: np.ndarray) -> "Dense":
+        """A layer holding a copy of ``weight`` (shape ``(in + 1, out)``),
+        built without running an initialiser."""
+        layer = cls.__new__(cls)
+        layer.in_dim = weight.shape[0] - 1
+        layer.out_dim = weight.shape[1]
+        layer._bind(weight.copy())
+        return layer
+
+    def _bind(self, weight: np.ndarray) -> None:
+        self.weight = weight
         self.grad = np.zeros_like(self.weight)
         self.last_input_aug: Optional[np.ndarray] = None
         self.last_output_grad: Optional[np.ndarray] = None

@@ -168,6 +168,19 @@ class MLP:
     def copy_parameters(self) -> List[np.ndarray]:
         return [w.copy() for w in self.parameters]
 
+    def clone(self) -> "MLP":
+        """Independent copy with this network's architecture and weights,
+        built without running the initialisers (no rng draws, no QR)."""
+        twin = MLP.__new__(MLP)
+        twin.dense_layers = [Dense.from_weight(d.weight) for d in self.dense_layers]
+        twin.activations = [type(act)() for act in self.activations]
+        twin.in_dim = self.in_dim
+        twin.out_dim = self.out_dim
+        twin.activation = self.activation
+        twin.hidden = self.hidden
+        twin._pair_buffers = {}
+        return twin
+
     # ------------------------------------------------------------------
 
     def save(self, path: "Union[str, Path]") -> None:

@@ -109,14 +109,14 @@ class ActorCriticPolicy:
     # ------------------------------------------------------------------
 
     def clone(self) -> "ActorCriticPolicy":
-        """Deep copy — deploying the trained network to each node's agent."""
-        twin = ActorCriticPolicy(
-            self.obs_dim,
-            self.num_actions,
-            hidden=[d.weight.shape[1] for d in self.actor.dense_layers[:-1]],
-        )
-        twin.actor.set_parameters(self.actor.parameters)
-        twin.critic.set_parameters(self.critic.parameters)
+        """Deep copy — deploying the trained network to each node's agent.
+
+        Copies the weight arrays only; no initialiser runs."""
+        twin = ActorCriticPolicy.__new__(ActorCriticPolicy)
+        twin.obs_dim = self.obs_dim
+        twin.num_actions = self.num_actions
+        twin.actor = self.actor.clone()
+        twin.critic = self.critic.clone()
         return twin
 
     def save(self, path) -> None:

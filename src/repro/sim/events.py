@@ -8,8 +8,8 @@ so that simulation runs are fully deterministic given the same inputs.
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from heapq import heappop, heappush
 from enum import Enum, auto
 from typing import Any, List, Optional, Tuple
 
@@ -124,13 +124,13 @@ class EventQueue:
         event._queue = self
         if not event._cancelled:
             self._live += 1
-        heapq.heappush(self._heap, (event.time, next(self._counter), event))
+        heappush(self._heap, (event.time, next(self._counter), event))
         return event
 
     def pop(self) -> Optional[Event]:
         """Remove and return the earliest non-cancelled event, or None."""
         while self._heap:
-            _, _, event = heapq.heappop(self._heap)
+            _, _, event = heappop(self._heap)
             event._queue = None
             if not event._cancelled:
                 self._live -= 1
@@ -140,9 +140,26 @@ class EventQueue:
     def peek_time(self) -> Optional[float]:
         """Time of the earliest non-cancelled event, or None when empty."""
         while self._heap and self._heap[0][2]._cancelled:
-            _, _, event = heapq.heappop(self._heap)
+            _, _, event = heappop(self._heap)
             event._queue = None
         return self._heap[0][0] if self._heap else None
+
+    def has_due(self, time: float) -> bool:
+        """True when a live event is due at or before ``time``.
+
+        Cancelled entries at the top of the heap are discarded on the way,
+        as :meth:`pop_due` would discard them; the order in which live
+        events pop is unchanged.
+        """
+        heap = self._heap
+        while heap:
+            head = heap[0]
+            if head[2]._cancelled:
+                heappop(heap)
+                head[2]._queue = None
+                continue
+            return head[0] <= time
+        return False
 
     def pop_due(self, horizon: float) -> Optional[Event]:
         """Pop the earliest live event with ``time <= horizon``, or None.
@@ -155,12 +172,12 @@ class EventQueue:
         while heap:
             head = heap[0]
             if head[2]._cancelled:
-                _, _, event = heapq.heappop(heap)
+                _, _, event = heappop(heap)
                 event._queue = None
                 continue
             if head[0] > horizon:
                 return None
-            _, _, event = heapq.heappop(heap)
+            _, _, event = heappop(heap)
             event._queue = None
             self._live -= 1
             return event

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time as _time
 from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.invariants import InvariantViolation, check, invariants_enabled
 from repro.faults.injector import FaultInjector
@@ -61,9 +61,11 @@ __all__ = [
 ACTION_PROCESS_LOCALLY = 0
 
 
-@dataclass(frozen=True, slots=True)
 class DecisionPoint:
     """A pending coordination decision.
+
+    A plain slotted record (one is built per flow hop); treat it as
+    read-only.
 
     Attributes:
         time: Simulation time of the decision.
@@ -71,9 +73,15 @@ class DecisionPoint:
         node: The node where the flow's head currently is.
     """
 
-    time: float
-    flow: Flow
-    node: str
+    __slots__ = ("time", "flow", "node")
+
+    def __init__(self, time: float, flow: Flow, node: str) -> None:
+        self.time = time
+        self.flow = flow
+        self.node = node
+
+    def __repr__(self) -> str:
+        return f"DecisionPoint(time={self.time!r}, flow={self.flow!r}, node={self.node!r})"
 
 
 class OutcomeKind(Enum):
@@ -86,9 +94,11 @@ class OutcomeKind(Enum):
     FLOW_KEPT = auto()          # -1 / D_G
 
 
-@dataclass(frozen=True, slots=True)
 class Outcome:
     """One semantic outcome.
+
+    A plain slotted record (several are built per flow hop); treat it as
+    read-only.
 
     Attributes:
         kind: What happened.
@@ -99,12 +109,50 @@ class Outcome:
         drop_reason: Why the flow was dropped (FLOW_DROP).
     """
 
-    kind: OutcomeKind
-    time: float
-    flow_id: int
-    chain_length: Optional[int] = None
-    link_delay: Optional[float] = None
-    drop_reason: Optional[str] = None
+    __slots__ = ("kind", "time", "flow_id", "chain_length", "link_delay", "drop_reason")
+
+    def __init__(
+        self,
+        kind: OutcomeKind,
+        time: float,
+        flow_id: int,
+        chain_length: Optional[int] = None,
+        link_delay: Optional[float] = None,
+        drop_reason: Optional[str] = None,
+    ) -> None:
+        self.kind = kind
+        self.time = time
+        self.flow_id = flow_id
+        self.chain_length = chain_length
+        self.link_delay = link_delay
+        self.drop_reason = drop_reason
+
+    def __repr__(self) -> str:
+        return (
+            f"Outcome(kind={self.kind!r}, time={self.time!r}, flow_id={self.flow_id!r}, "
+            f"chain_length={self.chain_length!r}, link_delay={self.link_delay!r}, "
+            f"drop_reason={self.drop_reason!r})"
+        )
+
+
+# Enum members bound to module names: the per-event paths compare kinds
+# and statuses many times per hop, and a module-global read is several
+# times cheaper than an attribute read on an Enum class.
+_DECISION = EventKind.DECISION
+_PROCESSING_DONE = EventKind.PROCESSING_DONE
+_LINK_ARRIVAL = EventKind.LINK_ARRIVAL
+_RELEASE_NODE = EventKind.RELEASE_NODE
+_RELEASE_LINK = EventKind.RELEASE_LINK
+_INSTANCE_TIMEOUT = EventKind.INSTANCE_TIMEOUT
+_FLOW_INJECTION = EventKind.FLOW_INJECTION
+_FLOW_EXPIRY = EventKind.FLOW_EXPIRY
+_FAULT = EventKind.FAULT
+_ACTIVE = FlowStatus.ACTIVE
+_FLOW_SUCCESS = OutcomeKind.FLOW_SUCCESS
+_FLOW_DROP = OutcomeKind.FLOW_DROP
+_INSTANCE_TRAVERSED = OutcomeKind.INSTANCE_TRAVERSED
+_LINK_TRAVERSED = OutcomeKind.LINK_TRAVERSED
+_FLOW_KEPT = OutcomeKind.FLOW_KEPT
 
 
 @dataclass(slots=True)
@@ -163,6 +211,11 @@ class Simulator:
             self.faults.schedule_into(self._queue)
         self._traffic: Iterator[FlowSpec] = iter(traffic)
         self._pending: Optional[DecisionPoint] = None
+        #: Per node, where each action a > 0 sends a flow:
+        #: ``(neighbor, link delay, link id)`` at position ``a - 1``.
+        self._neighbor_hops = {
+            name: network.neighbor_hops(name) for name in network.node_names
+        }
         self._outcomes: List[Outcome] = []
         self._allocations: Dict[int, List[Allocation]] = {}
         self._residences: Dict[int, _Residence] = {}
@@ -199,17 +252,21 @@ class Simulator:
             raise RuntimeError(
                 "previous decision not resolved; call apply_action() first"
             )
+        pop_due = self._queue.pop_due
+        horizon = self.config.horizon
+        dispatch = self._dispatch
+        sanitize = self._sanitize
         while True:
-            event = self._queue.pop_due(self.config.horizon)
+            event = pop_due(horizon)
             if event is None:
                 return None
-            if self._sanitize:
+            if sanitize:
                 check(event.time >= self.now,
                       "event time moved backwards (monotonicity broken)",
                       event_time=event.time, now=self.now, kind=event.kind.name)
             self.now = event.time
-            self._dispatch(event)
-            if self._sanitize:
+            dispatch(event)
+            if sanitize:
                 self._check_invariants()
             if self._pending is not None:
                 return self._pending
@@ -221,7 +278,8 @@ class Simulator:
         ``a > 0`` forwards it to the node's a-th neighbor (sorted order).
         An action pointing at a non-existing neighbor drops the flow.
         """
-        if self._pending is None:
+        decision = self._pending
+        if decision is None:
             raise RuntimeError("no pending decision; call next_decision() first")
         if action < 0 or action > self.network.degree:
             # Reject before consuming the pending decision so the caller
@@ -229,28 +287,29 @@ class Simulator:
             raise ValueError(
                 f"action {action} outside action space [0, {self.network.degree}]"
             )
-        decision = self._pending
         self._pending = None
         self.metrics.record_decision()
-        flow, node = decision.flow, decision.node
+        flow = decision.flow
 
-        if flow.status is not FlowStatus.ACTIVE:
+        if flow.status is not _ACTIVE:
             return  # dropped by a simultaneous event (e.g. exact-deadline expiry)
         if flow.expired(self.now):
             self._drop(flow, DropReason.DEADLINE_EXPIRED)
             return
 
         if action == ACTION_PROCESS_LOCALLY:
-            if flow.fully_processed:
-                self._keep_flow(flow, node)
+            if flow.component_index is None:
+                self._keep_flow(flow, decision.node)
             else:
-                self._process_locally(flow, node)
-        elif action > len(self.network.neighbor_names(node)):
+                self._process_locally(flow, decision.node)
+            return
+        hops = self._neighbor_hops[decision.node]
+        if action > len(hops):
             # Valid action index, but this node has fewer neighbors: the
             # flow is sent to a dummy neighbor and dropped (high penalty).
             self._drop(flow, DropReason.INVALID_ACTION)
         else:
-            self._forward(flow, node, action - 1)
+            self._forward(flow, hops[action - 1])
 
     def drain_outcomes(self) -> List[Outcome]:
         """Return and clear the semantic outcomes accumulated so far."""
@@ -362,29 +421,30 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> None:
-        # Branches ordered by observed event frequency (decisions dominate,
-        # then link traffic and releases); dispatch order has no semantic
-        # effect since kinds are disjoint.
+        # Branches ordered by observed event frequency (link traffic and
+        # releases dominate; most decisions skip the heap, see
+        # _flow_at_node); dispatch order has no semantic effect since
+        # kinds are disjoint.
         kind = event.kind
-        if kind is EventKind.DECISION:
-            flow: Flow = event.payload
-            if flow.status is FlowStatus.ACTIVE:
-                self._pending = DecisionPoint(self.now, flow, flow.current_node)
-        elif kind is EventKind.LINK_ARRIVAL:
+        if kind is _LINK_ARRIVAL:
             self._link_arrival(event.payload, event.node)
-        elif kind is EventKind.RELEASE_NODE or kind is EventKind.RELEASE_LINK:
+        elif kind is _RELEASE_LINK or kind is _RELEASE_NODE:
             self.state.release(event.payload)
-        elif kind is EventKind.PROCESSING_DONE:
+        elif kind is _PROCESSING_DONE:
             self._processing_done(event.payload)
-        elif kind is EventKind.INSTANCE_TIMEOUT:
+        elif kind is _INSTANCE_TIMEOUT:
             self._instance_timeout(*event.payload)
-        elif kind is EventKind.FLOW_INJECTION:
+        elif kind is _FLOW_INJECTION:
             self._inject(event.payload)
-        elif kind is EventKind.FLOW_EXPIRY:
+        elif kind is _DECISION:
+            flow: Flow = event.payload
+            if flow.status is _ACTIVE:
+                self._pending = DecisionPoint(self.now, flow, flow.current_node)
+        elif kind is _FLOW_EXPIRY:
             flow = event.payload
-            if flow.status is FlowStatus.ACTIVE:
+            if flow.status is _ACTIVE:
                 self._drop(flow, DropReason.DEADLINE_EXPIRED)
-        elif kind is EventKind.FAULT:
+        elif kind is _FAULT:
             self._apply_fault(*event.payload)
         else:  # pragma: no cover - taxonomy is closed
             raise ValueError(f"unhandled event kind {kind}")
@@ -403,7 +463,7 @@ class Simulator:
                 f"t={self._last_injection_time}"
             )
         self._last_injection_time = spec.arrival_time
-        self._queue.push(Event(spec.arrival_time, EventKind.FLOW_INJECTION, spec))
+        self._queue.push(Event(spec.arrival_time, _FLOW_INJECTION, spec))
 
     def _inject(self, spec: FlowSpec) -> None:
         # Keep exactly one future injection scheduled: lazy merge with the
@@ -418,7 +478,7 @@ class Simulator:
         self._active_flows[flow.flow_id] = flow
         self.metrics.record_generated(flow)
         self._expiry_events[flow.flow_id] = self._queue.push(
-            Event(spec.arrival_time + spec.deadline, EventKind.FLOW_EXPIRY, flow)
+            Event(spec.arrival_time + spec.deadline, _FLOW_EXPIRY, flow)
         )
         if self.faults is not None and self.faults.node_is_failed(spec.ingress):
             # Injection at a dead ingress: the flow is generated (it
@@ -428,18 +488,28 @@ class Simulator:
         self._flow_at_node(flow)
 
     def _flow_at_node(self, flow: Flow) -> None:
-        """The flow's head is at ``flow.current_node``: finish or ask for a decision."""
-        if flow.fully_processed and flow.current_node == flow.egress:
+        """The flow's head is at ``flow.current_node``: finish or ask for a decision.
+
+        The decision is due now.  When no other live event is due at or
+        before now, the heap would hand this decision out next anyway, so
+        it becomes the pending decision directly; otherwise it queues
+        behind the events already due, keeping FIFO order among ties.
+        """
+        if flow.component_index is None and flow.current_node == flow.egress:
             self._succeed(flow)
             return
-        self._queue.push(Event(self.now, EventKind.DECISION, flow))
+        now = self.now
+        if self._queue.has_due(now):
+            self._queue.push(Event(now, _DECISION, flow))
+        else:
+            self._pending = DecisionPoint(now, flow, flow.current_node)
 
     def _succeed(self, flow: Flow) -> None:
         flow.mark_succeeded(self.now)
         self._finish(flow)
         self.metrics.record_success(flow)
         self._outcomes.append(
-            Outcome(OutcomeKind.FLOW_SUCCESS, self.now, flow.flow_id)
+            Outcome(_FLOW_SUCCESS, self.now, flow.flow_id)
         )
 
     def _drop(self, flow: Flow, reason: str) -> None:
@@ -457,7 +527,7 @@ class Simulator:
         self._finish(flow)
         self.metrics.record_drop(flow, reason)
         self._outcomes.append(
-            Outcome(OutcomeKind.FLOW_DROP, self.now, flow.flow_id, drop_reason=reason)
+            Outcome(_FLOW_DROP, self.now, flow.flow_id, drop_reason=reason)
         )
 
     def _finish(self, flow: Flow) -> None:
@@ -474,9 +544,9 @@ class Simulator:
     def _keep_flow(self, flow: Flow, node: str) -> None:
         """Action 0 on a fully processed flow away from its egress: the flow
         waits one time step and the agent is queried again (small penalty)."""
-        self._outcomes.append(Outcome(OutcomeKind.FLOW_KEPT, self.now, flow.flow_id))
+        self._outcomes.append(Outcome(_FLOW_KEPT, self.now, flow.flow_id))
         self._queue.push(
-            Event(self.now + self.config.keep_duration, EventKind.DECISION, flow)
+            Event(self.now + self.config.keep_duration, _DECISION, flow)
         )
 
     def _process_locally(self, flow: Flow, node: str) -> None:
@@ -519,9 +589,9 @@ class Simulator:
         release_time = done_time + flow.duration
 
         self.state.instance_begin_flow(node, component.name)
-        done_event = self._queue.push(Event(done_time, EventKind.PROCESSING_DONE, flow))
+        done_event = self._queue.push(Event(done_time, _PROCESSING_DONE, flow))
         release_event = self._queue.push(
-            Event(release_time, EventKind.RELEASE_NODE, allocation)
+            Event(release_time, _RELEASE_NODE, allocation)
         )
         self._allocations.setdefault(flow.flow_id, []).append(allocation)
         self._residences[flow.flow_id] = _Residence(
@@ -529,7 +599,7 @@ class Simulator:
         )
 
     def _processing_done(self, flow: Flow) -> None:
-        if flow.status is not FlowStatus.ACTIVE:
+        if flow.status is not _ACTIVE:
             return
         residence = self._residences.pop(flow.flow_id, None)
         if residence is None:
@@ -546,7 +616,7 @@ class Simulator:
         self._queue.push(
             Event(
                 self.now + flow.duration,
-                EventKind.INSTANCE_TIMEOUT,
+                _INSTANCE_TIMEOUT,
                 # Reuse the timeout event with a sentinel due time of -1 to
                 # mean "flow tail left; decrement busy and maybe arm timer".
                 (node, component, -1.0),
@@ -555,7 +625,7 @@ class Simulator:
         flow.advance_component()
         self._outcomes.append(
             Outcome(
-                OutcomeKind.INSTANCE_TRAVERSED,
+                _INSTANCE_TRAVERSED,
                 self.now,
                 flow.flow_id,
                 chain_length=flow.chain_length,
@@ -563,11 +633,8 @@ class Simulator:
         )
         self._flow_at_node(flow)
 
-    def _forward(self, flow: Flow, node: str, neighbor_index: int) -> None:
-        network = self.network
-        neighbor = network.neighbor_names(node)[neighbor_index]
-        link_delay = network.neighbor_link_delays(node)[neighbor_index]
-        link_id = network.neighbor_link_id_tuple(node)[neighbor_index]
+    def _forward(self, flow: Flow, hop: Tuple[str, float, int]) -> None:
+        neighbor, link_delay, link_id = hop
         if self.faults is not None and self.faults.link_is_failed(link_id):
             self._drop(flow, DropReason.NETWORK_FAILURE)
             return
@@ -579,23 +646,16 @@ class Simulator:
             self._drop(flow, DropReason.LINK_CAPACITY)
             return
         self._allocations.setdefault(flow.flow_id, []).append(allocation)
-        self._queue.push(
-            Event(self.now + link_delay, EventKind.LINK_ARRIVAL, flow, node=neighbor)
-        )
-        self._queue.push(
-            Event(self.now + link_delay + flow.duration, EventKind.RELEASE_LINK, allocation)
-        )
+        now = self.now
+        push = self._queue.push
+        push(Event(now + link_delay, _LINK_ARRIVAL, flow, neighbor))
+        push(Event(now + link_delay + flow.duration, _RELEASE_LINK, allocation))
         self._outcomes.append(
-            Outcome(
-                OutcomeKind.LINK_TRAVERSED,
-                self.now,
-                flow.flow_id,
-                link_delay=link_delay,
-            )
+            Outcome(_LINK_TRAVERSED, now, flow.flow_id, link_delay=link_delay)
         )
 
     def _link_arrival(self, flow: Flow, node: Optional[str]) -> None:
-        if flow.status is not FlowStatus.ACTIVE:
+        if flow.status is not _ACTIVE:
             return
         if node is None:
             raise InvariantViolation(
@@ -648,7 +708,7 @@ class Simulator:
         dropped = 0
         for flow_id in sorted(self._allocations):
             flow = self._active_flows.get(flow_id)
-            if flow is None or flow.status is not FlowStatus.ACTIVE:
+            if flow is None or flow.status is not _ACTIVE:
                 continue
             if any(
                 a.kind == "link" and not a.released and a.index == link_id
@@ -665,7 +725,7 @@ class Simulator:
         dropped = 0
         for flow_id in sorted(self._active_flows):
             flow = self._active_flows.get(flow_id)
-            if flow is None or flow.status is not FlowStatus.ACTIVE:
+            if flow is None or flow.status is not _ACTIVE:
                 continue
             residence = self._residences.get(flow_id)
             if (
@@ -735,7 +795,7 @@ class Simulator:
         self._queue.push(
             Event(
                 instance.idle_since + timeout,
-                EventKind.INSTANCE_TIMEOUT,
+                _INSTANCE_TIMEOUT,
                 (node, component, instance.idle_since + timeout),
             )
         )

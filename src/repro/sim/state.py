@@ -233,17 +233,18 @@ class NetworkState:
         """:meth:`allocate_node` by integer node id (simulator hot path)."""
         loads = self._node_loads
         capacity = self._node_caps[node_id]
+        load = loads[node_id] + amount
         # Small epsilon tolerates float accumulation across release/allocate
         # cycles; a genuinely over-capacity request still fails.
-        if loads[node_id] + amount > capacity + 1e-9:
+        if load > capacity + 1e-9:
             node = self.network.node_name_at(node_id)
             raise CapacityError(
                 f"node {node}: load {loads[node_id]:.4f} + {amount:.4f} "
                 f"exceeds capacity {capacity:.4f}"
             )
-        loads[node_id] += amount
-        if loads[node_id] > self._peak_node_loads[node_id]:
-            self._peak_node_loads[node_id] = loads[node_id]
+        loads[node_id] = load
+        if load > self._peak_node_loads[node_id]:
+            self._peak_node_loads[node_id] = load
         return Allocation(
             "node", self.network.node_name_at(node_id), amount, flow_id,
             index=node_id,
@@ -259,15 +260,16 @@ class NetworkState:
         """:meth:`allocate_link` by integer link id (simulator hot path)."""
         loads = self._link_loads
         capacity = self._link_caps[link_id]
-        if loads[link_id] + rate > capacity + 1e-9:
+        load = loads[link_id] + rate
+        if load > capacity + 1e-9:
             key = self.network.link_key_at(link_id)
             raise CapacityError(
                 f"link {key}: load {loads[link_id]:.4f} + {rate:.4f} "
                 f"exceeds capacity {capacity:.4f}"
             )
-        loads[link_id] += rate
-        if loads[link_id] > self._peak_link_loads[link_id]:
-            self._peak_link_loads[link_id] = loads[link_id]
+        loads[link_id] = load
+        if load > self._peak_link_loads[link_id]:
+            self._peak_link_loads[link_id] = load
         return Allocation(
             "link", self.network.link_key_at(link_id), rate, flow_id,
             index=link_id,
@@ -286,14 +288,14 @@ class NetworkState:
                         "node allocation key must be a node name", key=allocation.key
                     )
                 i = self._node_index[allocation.key]
-            loads = self._node_loads
-            loads[i] -= allocation.amount
+            load = self._node_loads[i] - allocation.amount
             # Clamp float dust so long simulations cannot drift negative.
-            if -1e-9 < loads[i] < 0:
-                loads[i] = 0.0
-            if not loads[i] >= 0:
+            if -1e-9 < load < 0:
+                load = 0.0
+            self._node_loads[i] = load
+            if not load >= 0:
                 check(False, "negative node load after release",
-                      node=allocation.key, load=float(loads[i]),
+                      node=allocation.key, load=float(load),
                       released=allocation.amount, flow_id=allocation.flow_id)
         elif allocation.kind == "link":
             i = allocation.index
@@ -303,13 +305,13 @@ class NetworkState:
                         "link allocation key must be a link tuple", key=allocation.key
                     )
                 i = self._link_index[allocation.key]
-            loads = self._link_loads
-            loads[i] -= allocation.amount
-            if -1e-9 < loads[i] < 0:
-                loads[i] = 0.0
-            if not loads[i] >= 0:
+            load = self._link_loads[i] - allocation.amount
+            if -1e-9 < load < 0:
+                load = 0.0
+            self._link_loads[i] = load
+            if not load >= 0:
                 check(False, "negative link load after release",
-                      link=allocation.key, load=float(loads[i]),
+                      link=allocation.key, load=float(load),
                       released=allocation.amount, flow_id=allocation.flow_id)
         else:  # pragma: no cover - allocation kinds are fixed above
             raise ValueError(f"unknown allocation kind {allocation.kind!r}")

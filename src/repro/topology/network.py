@@ -187,16 +187,14 @@ class Network:
             [link.capacity for link in self._links.values()], dtype=np.float64
         )
         idx = self.node_index
-        self._neighbor_names: Dict[str, Tuple[str, ...]] = {}
         self._neighbor_node_ids: Dict[str, np.ndarray] = {}
         self._neighbor_link_ids: Dict[str, np.ndarray] = {}
         self._self_and_neighbor_ids: Dict[str, np.ndarray] = {}
         self._neighbor_link_caps: Dict[str, np.ndarray] = {}
         self._self_and_neighbor_caps: Dict[str, np.ndarray] = {}
-        self._neighbor_link_delay_tuple: Dict[str, Tuple[float, ...]] = {}
-        self._neighbor_link_id_tuple: Dict[str, Tuple[int, ...]] = {}
+        self._neighbor_hops: Dict[str, Tuple[Tuple[str, float, int], ...]] = {}
+        self._toward_actions: Dict[str, Dict[str, int]] = {}
         for name, adjacent in self._adjacency.items():
-            self._neighbor_names[name] = tuple(adjacent)
             node_ids = np.array([idx[nb] for nb in adjacent], dtype=np.intp)
             link_ids = [self.link_index[link_key(name, nb)] for nb in adjacent]
             self._neighbor_node_ids[name] = node_ids
@@ -210,10 +208,15 @@ class Network:
             self._self_and_neighbor_caps[name] = self._node_capacities[
                 self._self_and_neighbor_ids[name]
             ].copy()
-            self._neighbor_link_delay_tuple[name] = tuple(
-                self._links[link_key(name, nb)].delay for nb in adjacent
+            self._neighbor_hops[name] = tuple(
+                (nb, self._links[link_key(name, nb)].delay, link_id)
+                for nb, link_id in zip(adjacent, link_ids)
             )
-            self._neighbor_link_id_tuple[name] = tuple(link_ids)
+            toward: Dict[str, int] = {}
+            for target in self._node_name_list:
+                hop = self._next_hop[name].get(target)
+                toward[target] = 0 if hop is None else adjacent.index(hop) + 1
+            self._toward_actions[name] = toward
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -267,14 +270,6 @@ class Network:
     # Integer-indexed hot-path accessors (see _build_index_tables)
     # ------------------------------------------------------------------
 
-    def neighbor_names(self, name: str) -> Tuple[str, ...]:
-        """Sorted neighbors of ``name`` as a shared (immutable) tuple.
-
-        Same order as :meth:`neighbors` without the per-call list copy —
-        the simulator resolves every decision through this.
-        """
-        return self._neighbor_names[name]
-
     def node_name_at(self, node_id: int) -> str:
         """Node name for an integer node id (insertion order)."""
         return self._node_name_list[node_id]
@@ -301,10 +296,6 @@ class Network:
         """Link ids of ``name``'s incident links, in sorted-neighbor order."""
         return self._neighbor_link_ids[name]
 
-    def neighbor_link_id_tuple(self, name: str) -> Tuple[int, ...]:
-        """Same as :meth:`neighbor_link_ids` but as plain Python ints."""
-        return self._neighbor_link_id_tuple[name]
-
     def self_and_neighbor_ids(self, name: str) -> np.ndarray:
         """Node ids of ``[name] + neighbors`` — the observation gather index."""
         return self._self_and_neighbor_ids[name]
@@ -317,9 +308,21 @@ class Network:
         """Node capacities of ``[name] + neighbors``."""
         return self._self_and_neighbor_caps[name]
 
-    def neighbor_link_delays(self, name: str) -> Tuple[float, ...]:
-        """Delays of ``name``'s incident links, aligned with neighbors."""
-        return self._neighbor_link_delay_tuple[name]
+    def neighbor_hops(self, name: str) -> Tuple[Tuple[str, float, int], ...]:
+        """``(neighbor, link delay, link id)`` of each of ``name``'s
+        incident links, in sorted-neighbor order: entry ``a - 1`` is
+        where DRL action ``a`` sends a flow."""
+        return self._neighbor_hops[name]
+
+    def toward_actions(self, name: str) -> Dict[str, int]:
+        """Action at ``name`` that moves a flow one hop along the
+        delay-shortest path toward each target node.
+
+        The action for ``name`` itself and for unreachable targets is 0
+        (process/keep locally).  One shared dict per node; treat as
+        read-only.
+        """
+        return self._toward_actions[name]
 
     # ------------------------------------------------------------------
     # Derived quantities used by the POMDP

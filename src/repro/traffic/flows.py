@@ -88,9 +88,10 @@ class Flow:
     """
 
     __slots__ = (
-        "flow_id", "spec", "chain_length", "component_index", "current_node",
-        "status", "finish_time", "drop_reason", "hops", "instances_traversed",
-        "service_obj", "demands",
+        "flow_id", "spec", "service", "egress", "data_rate", "duration",
+        "deadline", "arrival_time", "chain_length", "component_index",
+        "current_node", "status", "finish_time", "drop_reason", "hops",
+        "instances_traversed", "service_obj", "demands",
     )
 
     _ids = itertools.count()
@@ -105,6 +106,14 @@ class Flow:
             raise ValueError("chain_length must be >= 1")
         self.flow_id: int = next(Flow._ids)
         self.spec = spec
+        # The spec's fields, copied once: the simulator reads them on
+        # every hop, and a slot read is cheaper than a property call.
+        self.service: str = spec.service
+        self.egress: str = spec.egress
+        self.data_rate: float = spec.data_rate
+        self.duration: float = spec.duration
+        self.deadline: float = spec.deadline
+        self.arrival_time: float = spec.arrival_time
         self.chain_length = chain_length
         #: Resolved service chain (see class docstring); None if not given.
         self.service_obj: Optional["Service"] = service
@@ -129,32 +138,6 @@ class Flow:
         self.hops: int = 0
         #: Number of component instances traversed so far.
         self.instances_traversed: int = 0
-
-    # -- convenient passthroughs ----------------------------------------
-
-    @property
-    def service(self) -> str:
-        return self.spec.service
-
-    @property
-    def egress(self) -> str:
-        return self.spec.egress
-
-    @property
-    def data_rate(self) -> float:
-        return self.spec.data_rate
-
-    @property
-    def duration(self) -> float:
-        return self.spec.duration
-
-    @property
-    def deadline(self) -> float:
-        return self.spec.deadline
-
-    @property
-    def arrival_time(self) -> float:
-        return self.spec.arrival_time
 
     # -- progress --------------------------------------------------------
 
@@ -188,7 +171,7 @@ class Flow:
 
     def expired(self, now: float) -> bool:
         """True once ``τ^t_f <= 0`` — the flow missed its deadline."""
-        return self.remaining_time(now) <= 0.0
+        return self.deadline - (now - self.arrival_time) <= 0.0
 
     def end_to_end_delay(self) -> Optional[float]:
         """``d_f = t^out_f - t^in_f`` once finished; None while active."""

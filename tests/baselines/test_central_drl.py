@@ -209,3 +209,41 @@ class TestTrainCentral:
         sim = make_simulator(net, catalog, make_flow_specs([1.0]))
         metrics = sim.run(policy)
         assert metrics.flows_generated == 1
+
+
+class TestCentralProfiling:
+    def test_profiled_trainer_attributes_central_sim_time(self):
+        from repro.profiling import PhaseAccumulator
+        from repro.rl.acktr import ACKTRTrainer
+
+        _, _, config = setup(horizon=100.0)
+        trainer = ACKTRTrainer(
+            lambda: CentralizedCoordinationEnv(config, CentralDRLConfig(25.0), seed=0),
+            ACKTRConfig(n_steps=8, n_envs=2),
+            seed=0,
+        )
+        prof = trainer.attach_profiler(PhaseAccumulator())
+        trainer.train(3)
+        assert all(env.profiler is prof for env in trainer.envs)
+        assert prof.sim_advance > 0.0
+        assert prof.obs_build > 0.0
+        assert prof.steps == 3 * 8 * 2
+
+    def test_profiling_leaves_the_episode_unchanged(self):
+        from repro.profiling import PhaseAccumulator
+
+        _, _, config = setup(num_components=2, horizon=100.0)
+        plain = CentralizedCoordinationEnv(config, CentralDRLConfig(25.0), seed=3)
+        profiled = CentralizedCoordinationEnv(config, CentralDRLConfig(25.0), seed=3)
+        profiled.profiler = PhaseAccumulator()
+        assert plain.reset().tobytes() == profiled.reset().tobytes()
+        done = False
+        step = 0
+        while not done:
+            a = plain.step(step % 3)
+            b = profiled.step(step % 3)
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1:] == b[1:]
+            done = a[2]
+            step += 1
+        assert profiled.profiler.steps == step

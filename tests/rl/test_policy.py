@@ -47,6 +47,29 @@ class TestActorCriticPolicy:
         policy.actor.parameters[0][0, 0] += 5.0
         assert not np.allclose(policy.actor.forward(obs), twin.actor.forward(obs))
 
+    def test_clone_copies_arrays_without_initialising(self, monkeypatch):
+        import repro.nn.layers as layers
+
+        policy = ActorCriticPolicy(5, 3, hidden=(8, 6), activation="relu", rng=0)
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("clone ran a weight initialiser")
+
+        monkeypatch.setattr(layers, "orthogonal", no_init)
+        twin = policy.clone()
+        assert (twin.obs_dim, twin.num_actions) == (5, 3)
+        for original, copy in (
+            (policy.actor, twin.actor), (policy.critic, twin.critic)
+        ):
+            assert copy.hidden == original.hidden
+            assert copy.activation == original.activation == "relu"
+            for mine, theirs in zip(original.parameters, copy.parameters):
+                assert mine.tobytes() == theirs.tobytes()
+                assert not np.shares_memory(mine, theirs)
+        obs = np.random.default_rng(2).normal(size=(4, 5))
+        assert policy.actor.forward(obs).tobytes() == twin.actor.forward(obs).tobytes()
+        assert policy.values(obs).tobytes() == twin.values(obs).tobytes()
+
     def test_save_load_roundtrip(self, tmp_path):
         policy = ActorCriticPolicy(5, 3, hidden=(8, 8), rng=0)
         path = tmp_path / "policy.npz"

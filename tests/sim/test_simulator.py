@@ -91,6 +91,44 @@ class TestBasicLifecycle:
         )
 
 
+class TestDecisionOrder:
+    """A decision due now skips the event heap only when nothing else is
+    due now; ties keep the heap's FIFO order."""
+
+    def test_simultaneous_arrivals_decide_in_fifo_order(self, line3):
+        catalog = make_simple_catalog()
+        first_spec, second_spec = (
+            make_flow_specs([1.0], data_rate=1.0) + make_flow_specs([1.0], data_rate=2.0)
+        )
+        sim = make_simulator(line3, catalog, [first_spec, second_spec])
+        first = sim.next_decision()
+        # The second injection was due at the same time, so it ran before
+        # the first flow's decision came out of the queue.
+        assert sim.metrics.flows_generated == 2
+        assert (first.time, first.node, first.flow.spec) == (1.0, "v1", first_spec)
+        sim.apply_action(1)
+        second = sim.next_decision()
+        assert (second.time, second.node, second.flow.spec) == (1.0, "v1", second_spec)
+        assert second.flow.flow_id == first.flow.flow_id + 1
+
+    def test_decision_follows_events_already_due(self, line3):
+        """A flow reaching a node at the same time as another flow is
+        injected there decides after it: the injection was queued first."""
+        catalog = make_simple_catalog()
+        arriving = make_flow_specs([0.0])[0]
+        injected = make_flow_specs([1.0], ingress="v2")[0]
+        sim = make_simulator(line3, catalog, [arriving, injected])
+        decision = sim.next_decision()
+        assert decision.flow.spec == arriving
+        sim.apply_action(1)  # v1 -> v2, link delay 1.0: arrives at t=1
+        order = []
+        for _ in range(2):
+            decision = sim.next_decision()
+            order.append((decision.time, decision.node, decision.flow.spec))
+            sim.apply_action(ACTION_PROCESS_LOCALLY)
+        assert order == [(1.0, "v2", injected), (1.0, "v2", arriving)]
+
+
 class TestActionSemantics:
     def test_invalid_dummy_neighbor_drops(self, triangle, simple_catalog):
         # Triangle degree is 2; a line's end node has only 1 neighbor.

@@ -145,6 +145,42 @@ class TestShortestPaths:
         assert net.next_hop("s", "t") == "x"
 
 
+class TestRoutingTables:
+    def test_neighbor_hops_follow_the_action_order(self):
+        nodes = [Node(n) for n in "abc"]
+        links = [Link("b", "a", delay=1.5), Link("a", "c", delay=5.0)]
+        net = Network("v", nodes, links)
+        hops = net.neighbor_hops("a")
+        assert [hop[0] for hop in hops] == net.neighbors("a") == ["b", "c"]
+        assert [hop[1] for hop in hops] == [1.5, 5.0]
+        assert [hop[2] for hop in hops] == [
+            net.link_index[link_key("a", "b")], net.link_index[link_key("a", "c")]
+        ]
+
+    def test_toward_actions_take_one_shortest_path_hop(self):
+        # a-b-c with a direct (but slow) a-c link, plus an isolated d.
+        nodes = [Node(n) for n in "abcd"]
+        links = [
+            Link("a", "b", delay=1.0),
+            Link("b", "c", delay=1.0),
+            Link("a", "c", delay=5.0),
+        ]
+        net = Network("tri", nodes, links)
+        for source in net.node_names:
+            toward = net.toward_actions(source)
+            assert set(toward) == set(net.node_names)
+            for target, action in toward.items():
+                hop = net.next_hop(source, target)
+                if hop is None:
+                    assert action == 0
+                else:
+                    assert net.neighbors(source)[action - 1] == hop
+        # Toward the direct neighbor c, a still goes via b.
+        assert net.toward_actions("a")["c"] == 1
+        assert net.toward_actions("a")["a"] == 0
+        assert net.toward_actions("a")["d"] == 0
+
+
 class TestDerivedQuantities:
     def test_max_node_capacity(self):
         assert small_net().max_node_capacity == 3.0
