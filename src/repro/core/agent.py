@@ -15,7 +15,7 @@ from typing import Any, Dict, Optional
 import numpy as np
 
 from repro.core.observations import ObservationAdapter
-from repro.nn.mlp import MLPInference
+from repro.rl.decision import DecisionKernel, resolve_eval_dtype
 from repro.rl.policy import ActorCriticPolicy
 from repro.services.service import ServiceCatalog
 from repro.sim.simulator import DecisionPoint, Simulator
@@ -39,12 +39,10 @@ class NodeAgent:
         deterministic: Greedy (argmax) actions when True — the default for
             online inference; sampling is used during training only.
         rng: Generator for stochastic action selection.
-        dtype: Inference dtype.  Float64 (default) runs the exact
-            historical ``act_single`` path; float32 routes decisions
-            through a workspace-backed batch-1
-            :class:`~repro.nn.mlp.MLPInference` forward (fast mode, last
-            ulps may differ).  Stochastic float32 sampling consumes the
-            rng stream in the same ``(1, K)`` draws as the serial path.
+        dtype: Inference dtype.  Decisions go through
+            :meth:`DecisionKernel.select_one`: float64 (default) equals
+            ``policy.act_single``; float32 is the fast mode (last ulps
+            may differ).
     """
 
     def __init__(
@@ -56,19 +54,13 @@ class NodeAgent:
         rng: Optional[np.random.Generator] = None,
         dtype: Any = np.float64,
     ) -> None:
-        from repro.rl.batched import resolve_eval_dtype
-
         self.node = node
         self.policy = policy
         self.adapter = adapter
         self.deterministic = deterministic
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.dtype = resolve_eval_dtype(dtype)
-        self._inference: Optional[MLPInference] = (
-            None
-            if self.dtype == np.dtype(np.float64)
-            else policy.actor_inference(dtype=self.dtype)
-        )
+        self._kernel = DecisionKernel(policy, dtype, deterministic)
+        self.dtype = self._kernel.dtype
         #: Decisions taken by this agent (per-node load statistics).
         self.decisions_taken = 0
 
@@ -80,17 +72,7 @@ class NodeAgent:
             )
         observation = self.adapter.build(decision, sim)
         self.decisions_taken += 1
-        if self._inference is None:
-            return self.policy.act_single(
-                observation, rng=self.rng, deterministic=self.deterministic
-            )
-        logits = self._inference.forward(
-            np.asarray(observation, dtype=np.float64)[None, :]
-        )
-        if self.deterministic:
-            return int(np.argmax(logits[0]))
-        gumbel = -np.log(-np.log(self.rng.uniform(1e-12, 1.0, size=logits.shape)))
-        return int(np.argmax(logits[0] + gumbel[0]))
+        return self._kernel.select_one(observation, self.rng)
 
 
 class DistributedCoordinator:
@@ -120,8 +102,6 @@ class DistributedCoordinator:
         seed: int = 0,
         dtype: Any = np.float64,
     ) -> None:
-        from repro.rl.batched import resolve_eval_dtype
-
         self.network = network
         self.seed = seed
         self.dtype = resolve_eval_dtype(dtype)

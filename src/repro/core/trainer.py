@@ -15,6 +15,7 @@ from repro.core.agent import DistributedCoordinator
 from repro.core.env import CoordinationEnvConfig, ServiceCoordinationEnv
 from repro.parallel import EnvBuilder
 from repro.rl.acktr import ACKTRConfig
+from repro.rl.decision import resolve_eval_dtype
 from repro.rl.training import MultiSeedResult, train_multi_seed
 from repro.telemetry import NULL_RECORDER, Recorder
 
@@ -166,8 +167,6 @@ def train_coordinator(
         eval_dtype=training.eval_dtype,
         recorder=recorder,
     )
-    from repro.rl.batched import resolve_eval_dtype
-
     coordinator = DistributedCoordinator(
         env_config.network,
         env_config.catalog,

@@ -28,6 +28,7 @@ from repro.parallel import (
 )
 from repro.rl.a2c import A2CConfig, A2CTrainer
 from repro.rl.acktr import ACKTRConfig, ACKTRTrainer
+from repro.rl.decision import resolve_eval_dtype
 from repro.rl.policy import ActorCriticPolicy
 from repro.rl.runner import Env
 from repro.telemetry import NULL_RECORDER, Recorder
@@ -99,11 +100,7 @@ def evaluate_policy(
             record with round/batch-size/forward-time statistics
             (including the effective ``dtype``).
     """
-    from repro.rl.batched import (
-        BatchedEpisodeRunner,
-        resolve_eval_dtype,
-        supports_batched_evaluation,
-    )
+    from repro.rl.batched import BatchedEpisodeRunner, supports_batched_evaluation
 
     rng = rng or np.random.default_rng(0)
     if batch > 1 and episodes > 1 and supports_batched_evaluation(env):
@@ -252,7 +249,7 @@ def train_multi_seed(
     if algorithm == "acktr" and not isinstance(config, ACKTRConfig):
         config = ACKTRConfig(**config.__dict__)
     seeds = list(seeds)
-    from repro.rl.batched import resolve_eval_batch, resolve_eval_dtype
+    from repro.rl.batched import resolve_eval_batch
 
     eval_batch = resolve_eval_batch(eval_batch)
     eval_dtype_str = (

@@ -4,7 +4,7 @@ The serving layer turns the trained actor into an online decision
 service: per-node coordination requests (observation vectors) coalesce
 in a preallocated ring-buffer queue and are served in micro-batches
 under a dual trigger (batch size B / latency deadline D) through the
-shared :class:`~repro.nn.mlp.MLPInference` workspaces — float64 mode
+shared :class:`~repro.rl.decision.DecisionKernel` — float64 mode
 bit-identical to serial ``policy.act``, float32 fast mode for
 throughput.  Weight hot-swaps apply atomically at flush boundaries and
 backpressure sheds load at a queue-depth cap.  See

@@ -6,30 +6,19 @@ workload.  :class:`ServingEngine` accepts per-node coordination requests
 queue (:class:`~repro.serving.queue.RingBufferQueue`), and flushes
 micro-batches under a **dual trigger**: the queue reaching the maximum
 batch size B, or the oldest request ageing past the latency deadline D.
-Each flush runs **one** batched actor forward over the whole batch
-through the :class:`~repro.nn.mlp.MLPInference` preallocated workspaces
-— the same machinery the batched evaluation engine uses — so the
-per-request cost at saturation is the per-row share of a GEMM instead of
-a full batch-1 forward.
+Each flush answers the whole batch with **one**
+:meth:`~repro.rl.decision.DecisionKernel.select` call — one batched
+actor forward, the same kernel the batched evaluation engine uses — so
+the per-request cost at saturation is the per-row share of a GEMM
+instead of a full batch-1 forward.
 
-Bit-identity (float64 mode)
----------------------------
-
-Responses are bitwise-identical to calling ``policy.act`` serially on
-the same observation sequence:
-
-- *Deterministic*: the batched logits feed
-  :func:`repro.rl.batched.argmax_with_serial_fallback` — rows whose
-  top-two margin is within the tie tolerance are recomputed through the
-  exact batch-1 forward, exactly as in batched evaluation.
-- *Stochastic*: the engine draws one ``(1, K)`` uniform block per
-  request **in FIFO submission order** from its single generator — the
-  identical consumption pattern of ``Categorical.sample`` inside a
-  serial ``policy.act`` loop — and takes the Gumbel-max.  The queue
-  never reorders, so the cumulative rng stream matches the serial one.
-
-Float32 mode trades the guarantee for throughput (workspace-cast
-weights, no fallback), mirroring the batched evaluation engine.
+In float64 mode responses are bitwise-identical to calling
+``policy.act`` serially on the same observation sequence, by the
+kernel's near-tie fallback and rng contract (:mod:`repro.rl.decision`).
+In stochastic mode the engine passes its single generator for every row;
+the queue never reorders, so rows draw in FIFO submission order and the
+cumulative rng stream matches the serial one.  Float32 mode trades the
+guarantee for throughput.
 
 Weight hot-swap
 ---------------
@@ -64,7 +53,7 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.invariants import InvariantViolation
-from repro.rl.batched import argmax_with_serial_fallback, resolve_eval_dtype
+from repro.rl.decision import DecisionKernel
 from repro.rl.policy import ActorCriticPolicy
 from repro.serving.queue import RingBufferQueue
 from repro.serving.records import Decision, ServingStats
@@ -146,10 +135,7 @@ class ServingEngine:
         self.clock = clock
         self.recorder = recorder
         self.stats = ServingStats()
-        self._policy = policy
-        self._dtype = resolve_eval_dtype(config.dtype)
-        self._exact = self._dtype == np.dtype(np.float64)
-        self._inference = policy.actor_inference(dtype=self._dtype)
+        self._kernel = DecisionKernel(policy, config.dtype, deterministic, clock=clock)
         self._version = 0
         self._staged: Optional[Tuple[ActorCriticPolicy, Optional[int]]] = None
         self._swap_lock = threading.Lock()
@@ -158,22 +144,18 @@ class ServingEngine:
         )
         self._next_id = 0
         self._flush_index = 0
-        # Preallocated flush workspaces (batch rows, ids, times, actions,
-        # Gumbel noise, tie-margin scratch) — no per-flush allocation.
-        b, k = config.max_batch, policy.num_actions
+        # Preallocated flush workspaces (batch rows, ids, enqueue times).
+        b = config.max_batch
         self._batch_obs = np.empty((b, policy.obs_dim), dtype=np.float64)
         self._batch_ids = np.empty(b, dtype=np.int64)
         self._batch_times = np.empty(b, dtype=np.float64)
-        self._actions = np.empty(b, dtype=np.intp)
-        self._scratch = np.empty((b, k), dtype=np.float64)
-        self._noise = None if deterministic else np.empty((b, k), dtype=np.float64)
 
     # ------------------------------------------------------------------
 
     @property
     def policy(self) -> ActorCriticPolicy:
         """The currently *applied* policy (staged swaps not yet visible)."""
-        return self._policy
+        return self._kernel.policy
 
     @property
     def policy_version(self) -> int:
@@ -255,13 +237,14 @@ class ServingEngine:
         may call this while the serving loop runs.  ``version`` labels
         the new policy (default: current version + 1 at apply time).
         Staging twice between flushes keeps only the latest policy."""
+        serving = self._kernel.policy
         if (
-            policy.obs_dim != self._policy.obs_dim
-            or policy.num_actions != self._policy.num_actions
+            policy.obs_dim != serving.obs_dim
+            or policy.num_actions != serving.num_actions
         ):
             raise ValueError(
-                f"hot-swap shape mismatch: serving ({self._policy.obs_dim} obs, "
-                f"{self._policy.num_actions} actions) vs installed "
+                f"hot-swap shape mismatch: serving ({serving.obs_dim} obs, "
+                f"{serving.num_actions} actions) vs installed "
                 f"({policy.obs_dim} obs, {policy.num_actions} actions)"
             )
         with self._swap_lock:
@@ -274,8 +257,7 @@ class ServingEngine:
         if staged is None:
             return
         policy, version = staged
-        self._policy = policy
-        self._inference = policy.actor_inference(dtype=self._dtype)
+        self._kernel.bind(policy)
         self._version = self._version + 1 if version is None else version
         self.stats.swaps += 1
 
@@ -292,37 +274,9 @@ class ServingEngine:
         )
         if n == 0:
             raise InvariantViolation("flush fired on an empty queue")
-        x = self._batch_obs[:n]
-        f0 = self.clock()
-        logits = self._inference.forward(x)
-        forward_seconds = self.clock() - f0
-        actions = self._actions[:n]
-        work = self._scratch[:n]
-        noise = self._noise
-        if self.deterministic:
-            scores: np.ndarray = logits
-        else:
-            if noise is None or self.rng is None:
-                raise InvariantViolation(
-                    "stochastic flush reached without noise workspace/rng"
-                )
-            k = logits.shape[1]
-            for j in range(n):
-                # One (1, K) uniform block per request in FIFO order —
-                # the exact draw Categorical.sample makes inside a
-                # serial policy.act call for the same request.
-                u = self.rng.uniform(1e-12, 1.0, size=(1, k))
-                noise[j] = -np.log(-np.log(u[0]))
-            scores = np.add(logits, noise[:n], out=work)
-
-        def serial_row(j: int) -> np.ndarray:
-            serial = self._policy.logits_single(x[j])
-            if noise is not None:
-                serial = serial + noise[j]
-            return serial
-
-        tie_fallbacks = argmax_with_serial_fallback(
-            scores, work, actions, serial_row, exact=self._exact
+        rngs = [self.rng] * n if self.rng is not None else []
+        actions, tie_fallbacks, forward_seconds = self._kernel.select(
+            self._batch_obs[:n], rngs
         )
         completion = self.clock()
         self._flush_index += 1
@@ -359,7 +313,7 @@ class ServingEngine:
             batch=self.config.max_batch,
             deadline_ms=self.config.deadline_s * 1e3,
             queue_capacity=self.config.effective_queue_capacity,
-            dtype=str(self._dtype),
+            dtype=str(self._kernel.dtype),
             deterministic=self.deterministic,
             policy_version=self._version,
             **extra,

@@ -18,7 +18,6 @@ from repro.rl.batched import (
     BatchedEpisodeRunner,
     BatchedEvalStats,
     EpisodeOutcome,
-    SERIAL_FALLBACK_MAX_BATCH,
     resolve_eval_batch,
     resolve_eval_dtype,
     supports_batched_evaluation,
@@ -374,17 +373,8 @@ class TestResolveEvalBatch:
 
 
 class TestSerialFallback:
-    """At batch <= SERIAL_FALLBACK_MAX_BATCH the runner must delegate to
-    the plain serial act_single loop (lockstep bookkeeping is pure
-    overhead there) while producing identical outcomes."""
-
-    def test_fallback_constant_covers_batch_one(self):
-        assert SERIAL_FALLBACK_MAX_BATCH >= 1
-
-    def test_batch_one_skips_lockstep_engine(self):
-        env = make_env(seed=2)
-        runner = BatchedEpisodeRunner(make_policy(env), env, episodes=3, batch=1)
-        assert runner._inference is None
+    """A runner built with batch=1 runs lockstep at width 1 and still
+    produces the serial loop's outcomes."""
 
     def test_batch_one_matches_serial_and_batched(self):
         episodes = 4
@@ -403,18 +393,6 @@ class TestSerialFallback:
         assert as_tuples(batched) == as_tuples(outcomes)
         assert stats.episodes == episodes
         assert stats.decisions == sum(o.length for o in outcomes)
-
-    def test_batch_one_forces_float64(self):
-        """float32 only changes the batched GEMM; the serial fallback runs
-        the exact historical act_single path, so dtype reads f64."""
-        env = make_env(seed=2)
-        runner = BatchedEpisodeRunner(
-            make_policy(env), env, episodes=2, batch=1, dtype=np.float32
-        )
-        assert runner.dtype == np.dtype(np.float64)
-        _, stats = runner.run()
-        assert stats.dtype == "float64"
-        assert stats.tie_fallbacks == 0
 
     def test_batch_one_stochastic_matches_serial(self):
         episodes = 3
